@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierbench-smoke
+.PHONY: build test race vet barriervet fuzz-smoke barrierbench-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -30,3 +30,9 @@ fuzz-smoke:
 # non-zero unless the SLO verdict is PASS.
 barrierbench-smoke:
 	$(GO) run ./cmd/barrierbench -profile smoke
+
+# perfbench is a nested module, invisible to the root `go test ./...`.
+# Its tests include a short tcp-ring run, the end-to-end check that
+# NewLoopbackRing still serves the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) test ./...

@@ -137,10 +137,11 @@ func NewChanTransport(n int) Transport { return runtime.NewChanTransport(n) }
 func NewChanTreeTransport(parent []int) Transport { return runtime.NewChanTreeTransport(parent) }
 
 // TCPConfig parameterizes a TCP ring transport; TCPTransport implements
-// Transport over per-edge TCP connections with automatic reconnect
-// (capped exponential backoff with jitter). Every socket failure is
-// mapped onto a fault class the protocol already masks — see
-// internal/transport for the policy.
+// Transport over TCP with automatic reconnect (capped exponential backoff
+// with jitter). It is a one-group instance of the multi-group connection
+// multiplexer, so it speaks the same wire protocol as a `barrierd
+// -groups` process. Every socket failure is mapped onto a fault class the
+// protocol already masks — see internal/transport for the policy.
 type (
 	// TCPConfig configures a TCP ring transport.
 	TCPConfig = transport.TCPConfig
@@ -159,14 +160,16 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) { return transport.Ne
 func NewLoopbackRing(n int) (*TCPTransport, error) { return transport.NewLoopbackRing(n) }
 
 // TCPTreeTransport is the TCP implementation of the tree topology's
-// transport: one connection per tree edge, dialed child → parent, carrying
-// convergecast reports up and state broadcasts down.
+// transport: one connection per tree edge, dialed by the parent (the
+// lower index), carrying convergecast reports up and state broadcasts
+// down.
 type TCPTreeTransport = transport.TCPTree
 
 // NewTCPTreeTransport creates a TCP transport for the tree described by
 // the parent vector over the members listed in cfg.Peers. Pair it with
-// Config.Topology == TopologyTree; the parent vector must match the shape
-// the barrier derives from Config.TreeArity (topo.NewKAryTree).
+// Config.Topology == TopologyTree; the parent vector must be the k-ary
+// heap the barrier derives from Config.TreeArity (topo.NewKAryTree), and
+// any other shape is rejected.
 func NewTCPTreeTransport(cfg TCPConfig, parent []int) (*TCPTreeTransport, error) {
 	return transport.NewTCPTree(cfg, parent)
 }
@@ -176,8 +179,8 @@ func NewTCPTreeTransport(cfg TCPConfig, parent []int) (*TCPTreeTransport, error)
 // configuration for TopologyTree.
 func NewLoopbackTree(n int) (*TCPTreeTransport, error) { return transport.NewLoopbackTree(n) }
 
-// NewLoopbackTreeParent is NewLoopbackTree for an arbitrary tree shape
-// given by the parent vector. With Config.Topology == TopologyHybrid the
+// NewLoopbackTreeParent is NewLoopbackTree for any k-ary heap given by
+// the parent vector. With Config.Topology == TopologyHybrid the
 // tree nodes are HOST indices (topo: the hybrid host tree), one OS
 // process per host; each process passes the same transport and its own
 // host's member roster in Config.Members.

@@ -1124,8 +1124,8 @@ func (b *Barrier) Halted() bool {
 }
 
 // Stop shuts the barrier down: the protocol goroutines exit, then the
-// transport links they used (dialer and connection goroutines included)
-// are closed. Outstanding Awaits and Awaits racing Stop return ErrStopped.
+// transport links they used are closed (a network transport's
+// connections belong to the transport and close with it). Outstanding Awaits and Awaits racing Stop return ErrStopped.
 //
 // Stop is idempotent and safe to call concurrently — with itself, with
 // Halt, and with outstanding Awaits. Every call blocks until the shutdown

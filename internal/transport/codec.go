@@ -49,12 +49,12 @@ const (
 	// dialer's identity for the edge and that the digest matches its own
 	// configuration (peer list, topology, group set).
 	FrameHello byte = 1
-	// FrameState carries the MB triple forward (dialer → acceptor):
-	// payload = group uint32 BE | sn int32 BE | cp(1) | ph int32 BE |
-	// sum uint32 BE.
+	// FrameState carries the MB triple forward (ring predecessor →
+	// successor, tree parent → child): payload = group uint32 BE |
+	// sn int32 BE | cp(1) | ph int32 BE | sum uint32 BE.
 	FrameState byte = 2
-	// FrameTop carries the ⊤ restart marker backward (acceptor → dialer):
-	// payload = group uint32 BE.
+	// FrameTop carries the ⊤ restart marker backward (ring successor →
+	// predecessor): payload = group uint32 BE.
 	FrameTop byte = 3
 	// FrameUp carries a tree convergecast announcement (child → parent):
 	// payload = group uint32 BE | child int32 BE | sn int32 BE | cp(1) |

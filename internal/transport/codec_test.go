@@ -248,17 +248,48 @@ func TestConfigDigest(t *testing.T) {
 	if ConfigDigest() != ConfigDigest() {
 		t.Error("digest not deterministic")
 	}
-	base := TCPConfig{Peers: []string{"a:1", "b:2", "c:3"}}
-	other := base
-	other.Group = 1
-	if ringDigest(base) == ringDigest(other) {
-		t.Error("ring digest ignores the group id")
+
+	// muxDigest, the only hello digest, covers the peer list in order and
+	// the whole group set, but not which process computes it.
+	peers := []string{"a:1", "b:2", "c:3"}
+	base := MuxConfig{Peers: peers, Groups: []GroupSpec{{ID: 0, Topology: GroupRing}}}
+	self := base
+	self.Self = 2
+	if muxDigest(base) != muxDigest(self) {
+		t.Error("digest depends on Self")
 	}
-	reordered := TCPConfig{Peers: []string{"b:2", "a:1", "c:3"}}
-	if ringDigest(base) == ringDigest(reordered) {
-		t.Error("ring digest ignores peer order")
+	for name, other := range map[string]MuxConfig{
+		"peer order": {Peers: []string{"b:2", "a:1", "c:3"}, Groups: base.Groups},
+		"peer set":   {Peers: peers[:2], Groups: base.Groups},
+		"group id":   {Peers: peers, Groups: []GroupSpec{{ID: 1, Topology: GroupRing}}},
+		"group name": {Peers: peers, Groups: []GroupSpec{{ID: 0, Name: "g", Topology: GroupRing}}},
+		"group set":  {Peers: peers, Groups: []GroupSpec{{ID: 0, Topology: GroupRing}, {ID: 1, Topology: GroupRing}}},
+		"topology":   {Peers: peers, Groups: []GroupSpec{{ID: 0, Topology: GroupTree}}},
+		"tree arity": {Peers: peers, Groups: []GroupSpec{{ID: 0, Topology: GroupTree, TreeArity: 3}}},
+	} {
+		if muxDigest(base) == muxDigest(other) {
+			t.Errorf("digest ignores the %s", name)
+		}
 	}
-	if ringDigest(base) == treeDigest(base, []int{-1, 0, 0}) {
+	hybrid := func(hosts ...[]int) MuxConfig {
+		return MuxConfig{Peers: peers[:2], Groups: []GroupSpec{{ID: 0, Topology: GroupHybrid, Hosts: hosts}}}
+	}
+	if muxDigest(hybrid([]int{0, 1}, []int{2})) == muxDigest(hybrid([]int{0}, []int{1, 2})) {
+		t.Error("digest ignores the host roster")
+	}
+	// The single-group adapters send their one-group Mux's digest.
+	ring, err := NewTCP(TCPConfig{Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring.Digest() != muxDigest(base) {
+		t.Error("ring transport digest is not its one-group Mux digest")
+	}
+	tree, err := NewTCPTree(TCPConfig{Peers: peers}, []int{-1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ring.Digest() == tree.Digest() {
 		t.Error("ring and tree digests collide")
 	}
 }

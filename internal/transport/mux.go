@@ -1,11 +1,9 @@
-// Multi-group connection multiplexer: one TCP connection per peer-process
-// pair carries every barrier group crossing that edge. The single-group
-// transports (TCP, TCPTree) open one connection per protocol edge, which
-// is the right shape for one group — and the wrong one for a daemon
-// hosting thousands: the connection count would scale with groups, and a
-// reconnect storm would multiply by the group count. The Mux collapses
-// that to O(peers) connections, with wire-format v2's per-frame group id
-// providing the demultiplexing key.
+// The Mux: the package's one wire stack. One TCP connection per
+// peer-process pair carries every barrier group crossing that edge, with
+// wire-format v2's per-frame group id as the demultiplexing key. A daemon
+// hosting thousands of groups keeps O(peers) connections, and a reconnect
+// storm does not multiply by the group count. A single-group deployment
+// (TCP, TCPTree) is a one-group Mux per member.
 //
 // Model: len(Peers) OS processes, each hosting member j of every group
 // (a group's member ids are process indices). Each group is a ring over
@@ -16,11 +14,11 @@
 // Connections are symmetric (both ends read and write protocol frames),
 // so one connection per unordered pair suffices; the lower process index
 // dials, the higher accepts. Outgoing frames go through per-(group, kind,
-// edge) latest-state-wins slots — exactly the mailbox discipline of the
-// single-group transports, so a slow connection never blocks a protocol
-// goroutine and superseded states coalesce. One writer per connection
-// drains every dirty slot bound for that peer into a single Write,
-// batching frames of many groups into one syscall.
+// edge) latest-state-wins slots — the mailbox discipline of the channel
+// transports, so a slow connection never blocks a protocol goroutine and
+// superseded states coalesce. One writer per connection drains every
+// dirty slot bound for that peer into a single Write, batching frames of
+// many groups into one syscall.
 //
 // Lifecycle isolation: a group's link can be closed (its barrier halted,
 // stopped, or restarted for rejoin) without touching the shared
@@ -167,7 +165,8 @@ type Mux struct {
 	wg         sync.WaitGroup
 	mu         sync.Mutex // guards peer conn registration against Close
 
-	stats tcpStats
+	stats  *tcpStats
+	series series
 }
 
 // muxGroup is one group's demux endpoint: exactly one of ring/tree is
@@ -215,7 +214,7 @@ type route struct {
 // any peer dials it) and starts the dialers for the peers it is
 // responsible for. Per-group transports are obtained with Ring/Tree.
 func NewMux(cfg MuxConfig) (*Mux, error) {
-	m, err := newMux(cfg, nil)
+	m, err := newMux(cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,8 +226,9 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 }
 
 // newMux builds the mux without touching the network; ln pre-binds the
-// listener (loopback tests) or is nil.
-func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
+// listener (loopback tests) or is nil. stats is the counter set to share
+// (TCP and TCPTree pass theirs), or nil for the mux's own.
+func newMux(cfg MuxConfig, ln net.Listener, stats *tcpStats) (*Mux, error) {
 	n := len(cfg.Peers)
 	if n < 2 {
 		return nil, errors.New("transport: need at least 2 peers")
@@ -257,6 +257,9 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 64
 	}
+	if stats == nil {
+		stats = new(tcpStats)
+	}
 	dialCtx, dialCancel := context.WithCancel(context.Background())
 	m := &Mux{
 		cfg:        cfg,
@@ -265,6 +268,7 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 		peers:      make([]*muxPeer, n),
 		routes:     make(map[routeKey]route),
 		ln:         ln,
+		stats:      stats,
 		done:       make(chan struct{}),
 		dialCtx:    dialCtx,
 		dialCancel: dialCancel,
@@ -364,7 +368,7 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 		m.order = append(m.order, g)
 	}
 	if cfg.Registry != nil {
-		if err := m.stats.register(cfg.Registry); err != nil {
+		if err := m.series.register(cfg.Registry, m.stats.standardMetrics()...); err != nil {
 			dialCancel()
 			return nil, err
 		}
@@ -373,7 +377,7 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 				continue
 			}
 			g := g
-			err := m.stats.registerAll(cfg.Registry,
+			err := m.series.register(cfg.Registry,
 				obsv.NewCounterFunc(`transport_group_frames_total{group="`+g.spec.Name+`",dir="sent"}`,
 					"Frames by group and direction.", g.sent.Load),
 				obsv.NewCounterFunc(`transport_group_frames_total{group="`+g.spec.Name+`",dir="recv"}`,
@@ -381,7 +385,7 @@ func newMux(cfg MuxConfig, ln net.Listener) (*Mux, error) {
 				obsv.NewCounterFunc(`transport_group_frames_dropped_total{group="`+g.spec.Name+`"}`,
 					"Frames that arrived for this group after its links were torn down (dropped as loss).", g.dropped.Load))
 			if err != nil {
-				// registerAll already rolled back every series the mux had
+				// register already rolled back every series the mux had
 				// registered so far.
 				dialCancel()
 				return nil, err
@@ -437,7 +441,7 @@ func (m *Mux) Close() error {
 			}
 		}
 		m.mu.Unlock()
-		m.stats.unregister()
+		m.series.unregister()
 	})
 	m.wg.Wait()
 	return nil
@@ -580,8 +584,8 @@ func (v *muxTreeView) Close() error { return nil }
 
 // muxSlot is one latest-state-wins outgoing mailbox: a protocol send
 // overwrites the slot and kicks the peer's writer; the writer takes the
-// newest value. Superseded states coalesce exactly as in the single-group
-// transports' channel mailboxes.
+// newest value. Superseded states coalesce exactly as in the channel
+// transports' mailboxes.
 type muxSlot struct {
 	p   *muxPeer
 	g   *muxGroup
@@ -745,8 +749,9 @@ func (p *muxPeer) writeLoop(c net.Conn, dead chan struct{}) {
 
 // dialLoop maintains the connection to a higher-indexed peer: dial,
 // hello, serve until it dies, redial with capped exponential backoff plus
-// jitter (the single-group transports' discipline; the jitter source is
-// a goroutine-owned splitmix64 PRNG, so single ownership is structural).
+// jitter. The jitter source is a goroutine-owned splitmix64 PRNG, so
+// single ownership is structural, and the per-edge seed keeps restarting
+// processes from reconnecting in lockstep.
 func (p *muxPeer) dialLoop() {
 	defer p.m.wg.Done()
 	rng := prng.New(int64(p.m.cfg.Self)*1315423911 + int64(p.id)*2654435761 + 41)
@@ -817,6 +822,57 @@ func (p *muxPeer) dialLoop() {
 
 // --- incoming: accept, handshake, demux ---
 
+// admitPending reserves a pre-handshake slot; it reports false (counting
+// an accept overflow) when max un-handshaken connections already exist, in
+// which case the caller must close the connection without spawning
+// anything — the bound is what keeps a dial flood or a reconnect storm
+// from piling up goroutines and frame buffers.
+func (s *tcpStats) admitPending(max int) bool {
+	if s.pendingHandshakes.Add(1) > int64(max) {
+		s.pendingHandshakes.Add(-1)
+		s.acceptOverflows.Add(1)
+		return false
+	}
+	return true
+}
+
+func (s *tcpStats) releasePending() { s.pendingHandshakes.Add(-1) }
+
+// readHello reads and verifies the hello frame on an accepted connection:
+// frame type, wire version, and the config digest (a mismatch means
+// another cluster — different peers or group set — dialed us, and is
+// counted separately from plain identity rejects). The returned id is the
+// dialer's claim; whether that id may dial this process is the caller's
+// check. The read deadline is cleared only on success.
+func readHello(fr *FrameReader, c net.Conn, timeout time.Duration, digest uint64, s *tcpStats) (from int, err error) {
+	c.SetReadDeadline(time.Now().Add(timeout))
+	typ, payload, err := fr.Read()
+	if err != nil {
+		return 0, err
+	}
+	if typ != FrameHello {
+		return 0, fmt.Errorf("%w: first frame type %d, want hello", ErrCodec, typ)
+	}
+	from, peerDigest, err := DecodeHello(payload)
+	if err != nil {
+		return 0, err
+	}
+	if peerDigest != digest {
+		s.digestRejects.Add(1)
+		return from, fmt.Errorf("%w: config digest mismatch (peer %016x, ours %016x)", ErrCodec, peerDigest, digest)
+	}
+	c.SetReadDeadline(time.Time{})
+	return from, nil
+}
+
+// keepAlive enables TCP keep-alive on verified connections.
+func keepAlive(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetKeepAlive(true)
+		tc.SetKeepAlivePeriod(15 * time.Second)
+	}
+}
+
 func (m *Mux) acceptLoop() {
 	defer m.wg.Done()
 	for {
@@ -847,7 +903,7 @@ func (m *Mux) acceptLoop() {
 func (m *Mux) handleIn(c net.Conn) {
 	defer m.wg.Done()
 	fr := NewFrameReader(c, 4096)
-	from, err := readHello(fr, c, m.cfg.HandshakeTimeout, m.digest, &m.stats)
+	from, err := readHello(fr, c, m.cfg.HandshakeTimeout, m.digest, m.stats)
 	m.stats.releasePending()
 	var p *muxPeer
 	if err == nil {
@@ -1002,7 +1058,7 @@ func (m *Mux) deliverUp(p *muxPeer, id uint32, msg runtime.UpMessage) error {
 	}
 	if msg.Child != p.id {
 		// The in-band child id must match the connection's verified peer —
-		// a mismatch is detected corruption, as in the tree transport.
+		// a mismatch is detected corruption, not a protocol message.
 		return fmt.Errorf("%w: in-band child %d on connection from %d", ErrCodec, msg.Child, p.id)
 	}
 	m.stats.framesRecv.Add(1)
@@ -1030,7 +1086,9 @@ func (m *Mux) deliverUp(p *muxPeer, id uint32, msg runtime.UpMessage) error {
 	return nil
 }
 
-// connFailed accounts one connection failure (see tcpLink.connFailed).
+// connFailed accounts one connection failure. Decode errors are counted
+// separately from plain connection drops, but both end the connection:
+// the reconnect plus the barrier's retransmission are the only recovery.
 func (m *Mux) connFailed(p *muxPeer, what string, err error) {
 	if m.closedNow() {
 		return
@@ -1178,11 +1236,7 @@ func NewLoopbackMuxes(n int, groups []GroupSpec, opts ...MuxOption) (*MuxSet, er
 				m.Close()
 			}
 		}
-		for _, ln := range listeners {
-			if ln != nil {
-				ln.Close()
-			}
-		}
+		closeListeners(listeners)
 	}
 	set := &MuxSet{Muxes: make([]*Mux, n)}
 	for j := 0; j < n; j++ {
@@ -1197,7 +1251,7 @@ func NewLoopbackMuxes(n int, groups []GroupSpec, opts ...MuxOption) (*MuxSet, er
 			opt(&cfg)
 		}
 		cfg.Self, cfg.Peers = j, peers
-		m, err := newMux(cfg, listeners[j])
+		m, err := newMux(cfg, listeners[j], nil)
 		if err != nil {
 			closeAll(set.Muxes)
 			return nil, err

@@ -228,10 +228,19 @@ func TestMuxGroupTeardownIsolation(t *testing.T) {
 		t.Errorf("frames of the stopped group were counted as decode errors: %d", st.DecodeErrors)
 	}
 	// The swallowed frames are correct behaviour (the peer's resends are
-	// loss), but they must be counted, not silent.
-	_, _, dropped := set.Muxes[0].GroupStats(0)
-	if dropped == 0 {
-		t.Error("closed group discarded frames without counting them")
+	// loss), but they must be counted, not silent. The beta passes can
+	// finish before any alpha resend reaches process 0, so the count is
+	// awaited: the property is "eventually counted".
+	var dropped int64
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, _, dropped = set.Muxes[0].GroupStats(0); dropped > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("closed group discarded frames without counting them")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if _, _, betaDropped := set.Muxes[0].GroupStats(1); betaDropped != 0 {
 		t.Errorf("live group beta counted %d dropped frames", betaDropped)

@@ -1,16 +1,15 @@
-// Package transport provides network ring links for the runtime barrier:
-// an implementation of runtime.Transport over TCP connections, so a
+// Package transport carries the runtime barrier over TCP, so a
 // fault-tolerant barrier can span OS processes and machines.
 //
-// Topology: ring edge (j, j+1) is one TCP connection, dialed by j to
-// j+1's listener and opened with a hello frame naming the dialer. On that
-// connection j writes state frames (the MB (sn, cp, ph) wire triple) and
-// j+1 writes ⊤ restart markers back, matching the protocol's two message
-// flows. Each member therefore maintains one outgoing connection (to its
-// successor, re-dialed forever with capped exponential backoff plus
-// jitter) and accepts one incoming connection (from its predecessor; a
-// newly accepted connection replaces the old one, which is how a
-// restarted predecessor reattaches).
+// There is one wire stack: the Mux (mux.go). It keeps one TCP connection
+// per pair of processes that share a protocol edge, and that connection
+// carries the frames of every barrier group crossing the edge. TCP and
+// TCPTree are single-group adapters over it: Open(id) starts member id's
+// one-group Mux and returns its ring or tree link. Single-group and
+// multi-group processes therefore speak the same wire protocol. On every
+// edge the lower process index dials and the higher accepts, and the
+// hello frame carries the Mux configuration digest (peer list plus group
+// set), so a peer from another deployment is rejected at handshake.
 //
 // Fault mapping: the transport adds no recovery logic of its own. Every
 // socket failure is translated into a fault class the barrier protocol
@@ -23,28 +22,27 @@
 //     oversized length) → detected corruption, which the paper reduces to
 //     loss: the frame is discarded and the connection dropped rather than
 //     attempting to resynchronize the byte stream;
-//   - a slow or dead peer → delay: sends are latest-state-wins mailboxes
-//     and never block a protocol goroutine.
+//   - a slow or dead peer → delay: sends are latest-state-wins slots and
+//     never block a protocol goroutine.
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/prng"
 	"repro/internal/runtime"
+	"repro/internal/topo"
 )
 
-// TCPConfig parameterizes a TCP transport.
+// TCPConfig parameterizes a single-group TCP transport.
 type TCPConfig struct {
-	// Peers[j] is member j's listen address (host:port); the ring size is
+	// Peers[j] is member j's listen address (host:port); the group size is
 	// len(Peers).
 	Peers []string
 	// BaseBackoff and MaxBackoff bound the reconnect backoff (defaults
@@ -58,10 +56,6 @@ type TCPConfig struct {
 	// HandshakeTimeout bounds the wait for a dialer's hello frame
 	// (default 5s).
 	HandshakeTimeout time.Duration
-	// Group tags every frame this transport sends and is verified on every
-	// frame it receives. A single-group deployment leaves it 0; the Mux
-	// speaks for many groups on one connection and bypasses this field.
-	Group uint32
 	// MaxPending bounds concurrent un-handshaken incoming connections
 	// (default 64). Each pre-handshake connection holds a goroutine and a
 	// frame buffer for up to HandshakeTimeout; beyond the bound new
@@ -77,7 +71,7 @@ type TCPConfig struct {
 	Registry *obsv.Registry
 }
 
-// Option mutates a TCPConfig (used by NewLoopbackRing).
+// Option mutates a TCPConfig (used by the loopback constructors).
 type Option func(*TCPConfig)
 
 // TCPStats is a snapshot of a transport's counters.
@@ -97,21 +91,14 @@ type TCPStats struct {
 	PendingHandshakes int64 // accepted connections awaiting their hello (gauge)
 }
 
-// tcpStats holds the counters shared by the ring, tree and mux TCP
-// transports.
+// tcpStats holds the transport counters. A Mux counts into its own, or
+// into one shared by every member a TCP or TCPTree opened.
 type tcpStats struct {
 	dials, failedDials, accepts, handshakeRejects atomic.Int64
 	digestRejects, acceptOverflows                atomic.Int64
 	connDrops, decodeErrors                       atomic.Int64
 	framesSent, framesRecv                        atomic.Int64
 	connectedOut, backingOff, pendingHandshakes   atomic.Int64 // gauges
-
-	// Registry bookkeeping: the series registered on behalf of this
-	// transport, so Close can unregister them and a successor transport
-	// can register the same names on the same registry. Written at
-	// construction and Close only.
-	reg      *obsv.Registry
-	regNames []string
 }
 
 func (s *tcpStats) snapshot() TCPStats {
@@ -132,43 +119,8 @@ func (s *tcpStats) snapshot() TCPStats {
 	}
 }
 
-// register installs the transport's metric series on r. Every series is a
+// standardMetrics is the transport_* series family. Every series is a
 // scrape-time read of a counter the data path maintains regardless.
-func (s *tcpStats) register(r *obsv.Registry) error {
-	return s.registerAll(r, s.standardMetrics()...)
-}
-
-// registerAll registers ms on r, recording every accepted name so
-// unregister can remove them at Close. On a name collision it rolls back
-// everything this transport has registered so far (this call and earlier
-// ones), leaving the registry as if the transport never existed.
-func (s *tcpStats) registerAll(r *obsv.Registry, ms ...obsv.Metric) error {
-	for _, m := range ms {
-		if err := r.Register(m); err != nil {
-			s.unregister()
-			return err
-		}
-		s.reg = r
-		s.regNames = append(s.regNames, m.Name())
-	}
-	return nil
-}
-
-// unregister removes every series this transport registered. Idempotent;
-// called from the transport's Close so a bounded-lifetime transport (one
-// tenant deployment among many sharing a registry) leaves no series
-// behind — the leak class the barriervet metricpair analyzer rejects.
-func (s *tcpStats) unregister() {
-	if s.reg == nil {
-		return
-	}
-	for _, n := range s.regNames {
-		s.reg.Unregister(n)
-	}
-	s.reg = nil
-	s.regNames = nil
-}
-
 func (s *tcpStats) standardMetrics() []obsv.Metric {
 	return []obsv.Metric{
 		obsv.NewCounterFunc("transport_dials_total",
@@ -200,64 +152,54 @@ func (s *tcpStats) standardMetrics() []obsv.Metric {
 	}
 }
 
-// TCP implements runtime.Transport over TCP ring links.
-type TCP struct {
-	cfg    TCPConfig
-	digest uint64
-
-	mu        sync.Mutex
-	links     []*tcpLink
-	listeners []net.Listener // pre-bound by NewLoopbackRing, else nil
-	closed    bool
-
-	stats tcpStats
+// series remembers the metric names a transport registered, so Close can
+// unregister them and a successor transport can register the same names
+// on the same registry. Written at construction and Close only.
+type series struct {
+	reg   *obsv.Registry
+	names []string
 }
 
-// ringDigest fingerprints a ring configuration: topology kind, ring size,
-// peer addresses and the group id. Members with any difference — a missing
-// peer, a reordered list, a different group — reject each other at hello.
-func ringDigest(cfg TCPConfig) uint64 {
-	parts := make([]string, 0, len(cfg.Peers)+3)
-	parts = append(parts, "ring", strconv.Itoa(len(cfg.Peers)))
-	parts = append(parts, cfg.Peers...)
-	parts = append(parts, strconv.FormatUint(uint64(cfg.Group), 10))
-	return ConfigDigest(parts...)
-}
-
-// NewTCP creates a TCP transport for the given ring. Nothing is bound or
-// dialed until Open.
-func NewTCP(cfg TCPConfig) (*TCP, error) {
-	if len(cfg.Peers) < 2 {
-		return nil, errors.New("transport: need at least 2 peers")
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 10 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 64
-	}
-	t := &TCP{
-		cfg:       cfg,
-		digest:    ringDigest(cfg),
-		links:     make([]*tcpLink, len(cfg.Peers)),
-		listeners: make([]net.Listener, len(cfg.Peers)),
-	}
-	if cfg.Registry != nil {
-		if err := t.stats.register(cfg.Registry); err != nil {
-			return nil, err
+// register registers ms on r. On a name collision it rolls back
+// everything registered so far (this call and earlier ones), leaving the
+// registry as if the transport never existed.
+func (s *series) register(r *obsv.Registry, ms ...obsv.Metric) error {
+	for _, m := range ms {
+		if err := r.Register(m); err != nil {
+			s.unregister()
+			return err
 		}
+		s.reg = r
+		s.names = append(s.names, m.Name())
+	}
+	return nil
+}
+
+// unregister removes every registered series. Idempotent; called from
+// the transport's Close so a bounded-lifetime transport (one tenant
+// deployment among many sharing a registry) leaves no series behind —
+// the leak class the barriervet metricpair analyzer rejects.
+func (s *series) unregister() {
+	if s.reg == nil {
+		return
+	}
+	for _, n := range s.names {
+		s.reg.Unregister(n)
+	}
+	s.reg = nil
+	s.names = nil
+}
+
+// TCP implements runtime.Transport for one ring group: Open(id) starts
+// member id's one-group Mux and returns its ring link.
+type TCP struct{ oneGroup }
+
+// NewTCP creates a TCP transport for the ring described by cfg.Peers.
+// Nothing is bound or dialed until Open.
+func NewTCP(cfg TCPConfig) (*TCP, error) {
+	t := &TCP{}
+	if err := t.init(cfg, GroupSpec{Topology: GroupRing}); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -271,36 +213,263 @@ func NewLoopbackRing(n int, opts ...Option) (*TCP, error) {
 	if n < 2 {
 		return nil, errors.New("transport: need at least 2 members")
 	}
-	listeners, peers, err := bindLoopback(n)
+	cfg, listeners, err := loopbackConfig(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := TCPConfig{Peers: peers, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	t, err := NewTCP(cfg)
 	if err != nil {
-		for _, l := range listeners {
-			l.Close()
-		}
+		closeListeners(listeners)
 		return nil, err
 	}
 	t.listeners = listeners
 	return t, nil
 }
 
+// Open starts member id's Mux and returns its ring link.
+func (t *TCP) Open(id int) (runtime.Link, error) {
+	m, err := t.open(id)
+	if err != nil {
+		return nil, err
+	}
+	return m.Ring(0).Open(id)
+}
+
+// TCPTree implements runtime.TreeTransport for one tree group. It also
+// satisfies the ring runtime.Transport interface so it can be placed in
+// Config.Transport, but its Open always fails: a tree transport serves
+// only TopologyTree (and TopologyHybrid's host tree).
+type TCPTree struct{ oneGroup }
+
+// NewTCPTree creates a TCP tree transport for the tree described by the
+// parent vector (parent[i] is member i's parent). The tree must be a
+// k-ary heap — parent[i] == (i-1)/k, the shape topo.NewKAryTree builds
+// and the only one the Mux carries. cfg.Peers[i] is member i's listen
+// address. Nothing is bound or dialed until OpenTree.
+func NewTCPTree(cfg TCPConfig, parent []int) (*TCPTree, error) {
+	if len(cfg.Peers) != len(parent) {
+		return nil, fmt.Errorf("transport: %d peers for a %d-member tree", len(cfg.Peers), len(parent))
+	}
+	arity, err := heapArity(parent)
+	if err != nil {
+		return nil, err
+	}
+	t := &TCPTree{}
+	if err := t.init(cfg, GroupSpec{Topology: GroupTree, TreeArity: arity}); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// heapArity returns k when parent is topo.NewKAryTree(len(parent), k).
+func heapArity(parent []int) (int, error) {
+	rootKids := 0
+	for _, p := range parent {
+		if p == 0 {
+			rootKids++
+		}
+	}
+	k := max(rootKids, 2)
+	shape, err := topo.NewKAryTree(len(parent), k)
+	if err != nil {
+		return 0, fmt.Errorf("transport: %w", err)
+	}
+	if !slices.Equal(shape.Parent, parent) {
+		return 0, errors.New("transport: tree parent vector is not a k-ary heap (parent[i] == (i-1)/k)")
+	}
+	return k, nil
+}
+
+// NewLoopbackTree binds ephemeral loopback listeners and returns a TCP tree
+// transport for an all-local binary-heap tree of n members — the same shape
+// a TopologyTree barrier builds by default (topo.NewKAryTree(n, 2)). Like
+// NewLoopbackRing it lowers the backoff defaults (2ms base, 100ms cap) so
+// in-process reconnect tests converge quickly; opts may override any field.
+func NewLoopbackTree(n int, opts ...Option) (*TCPTree, error) {
+	if n < 2 {
+		return nil, errors.New("transport: need at least 2 members")
+	}
+	shape, err := topo.NewKAryTree(n, 2)
+	if err != nil {
+		return nil, err
+	}
+	return NewLoopbackTreeParent(shape.Parent, opts...)
+}
+
+// NewLoopbackTreeParent is NewLoopbackTree for any k-ary heap: parent[i]
+// is node i's parent. The hybrid topology uses it to run a cross-HOST tree
+// on loopback — the transport's node space there is host indices
+// (topo.Hybrid.HostTree.Parent), not member ids.
+func NewLoopbackTreeParent(parent []int, opts ...Option) (*TCPTree, error) {
+	if len(parent) < 2 {
+		return nil, errors.New("transport: need at least 2 nodes")
+	}
+	cfg, listeners, err := loopbackConfig(len(parent), opts)
+	if err != nil {
+		return nil, err
+	}
+	t, err := NewTCPTree(cfg, parent)
+	if err != nil {
+		closeListeners(listeners)
+		return nil, err
+	}
+	t.listeners = listeners
+	return t, nil
+}
+
+// Open rejects ring use; a TCPTree serves Config.Topology == TopologyTree.
+func (t *TCPTree) Open(id int) (runtime.Link, error) {
+	return nil, errors.New("transport: TCPTree requires Config.Topology == TopologyTree")
+}
+
+// OpenTree starts member id's Mux and returns its tree link.
+func (t *TCPTree) OpenTree(id int) (runtime.TreeLink, error) {
+	m, err := t.open(id)
+	if err != nil {
+		return nil, err
+	}
+	return m.Tree(0).(*muxTreeView).OpenTree(id)
+}
+
+// oneGroup is what TCP and TCPTree share: the one-group spec, and one Mux
+// per opened member. Every Mux counts into the one tcpStats, so Stats and
+// the registered series cover every member this value opened.
+type oneGroup struct {
+	cfg    TCPConfig
+	spec   GroupSpec
+	digest uint64
+
+	mu        sync.Mutex
+	muxes     []*Mux
+	listeners []net.Listener // pre-bound by the loopback constructors, else nil
+	closed    bool
+
+	stats  tcpStats
+	series series
+}
+
+func (s *oneGroup) init(cfg TCPConfig, spec GroupSpec) error {
+	if len(cfg.Peers) < 2 {
+		return errors.New("transport: need at least 2 peers")
+	}
+	s.cfg, s.spec = cfg, spec
+	s.digest = muxDigest(s.muxConfig(0))
+	s.muxes = make([]*Mux, len(cfg.Peers))
+	s.listeners = make([]net.Listener, len(cfg.Peers))
+	if cfg.Registry != nil {
+		return s.series.register(cfg.Registry, s.stats.standardMetrics()...)
+	}
+	return nil
+}
+
+// muxConfig is member self's one-group Mux configuration. The Mux
+// applies the backoff and timeout defaults.
+func (s *oneGroup) muxConfig(self int) MuxConfig {
+	return MuxConfig{
+		Self:             self,
+		Peers:            s.cfg.Peers,
+		Groups:           []GroupSpec{s.spec},
+		BaseBackoff:      s.cfg.BaseBackoff,
+		MaxBackoff:       s.cfg.MaxBackoff,
+		DialTimeout:      s.cfg.DialTimeout,
+		HandshakeTimeout: s.cfg.HandshakeTimeout,
+		MaxPending:       s.cfg.MaxPending,
+		Logf:             s.cfg.Logf,
+	}
+}
+
+// open builds and starts member id's Mux on its pre-bound listener, if
+// any, the way NewLoopbackMuxes does.
+func (s *oneGroup) open(id int) (*Mux, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errors.New("transport: closed")
+	}
+	if id < 0 || id >= len(s.muxes) {
+		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(s.muxes))
+	}
+	if s.muxes[id] != nil {
+		return nil, fmt.Errorf("transport: member %d already open", id)
+	}
+	m, err := newMux(s.muxConfig(id), s.listeners[id], &s.stats)
+	if err != nil {
+		return nil, err
+	}
+	s.listeners[id] = nil // owned by the mux now
+	if err := m.start(); err != nil {
+		m.Close()
+		return nil, err
+	}
+	s.muxes[id] = m
+	return m, nil
+}
+
+// Close tears down every member's Mux and any listener never handed to one.
+func (s *oneGroup) Close() error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
+	s.mu.Unlock()
+	for _, m := range s.muxes {
+		if m != nil {
+			m.Close()
+		}
+	}
+	closeListeners(s.listeners)
+	s.series.unregister()
+	return nil
+}
+
+// Stats returns a snapshot of the counters, summed over every opened member.
+func (s *oneGroup) Stats() TCPStats { return s.stats.snapshot() }
+
+// Digest returns the configuration digest this transport sends (and
+// expects) in hello frames: the digest of its one-group Mux.
+func (s *oneGroup) Digest() uint64 { return s.digest }
+
+// BreakLinks force-closes member id's current connections, simulating a
+// network blip. The dialers redial with backoff; in-flight frames are
+// lost and masked by retransmission. Test hook.
+func (s *oneGroup) BreakLinks(id int) {
+	s.mu.Lock()
+	var m *Mux
+	if id >= 0 && id < len(s.muxes) {
+		m = s.muxes[id]
+	}
+	s.mu.Unlock()
+	if m != nil {
+		m.BreakConns()
+	}
+}
+
+// loopbackConfig binds n ephemeral loopback listeners and returns the
+// config of an all-local deployment over them, with the backoff defaults
+// lowered (2ms base, 100ms cap) and then opts applied.
+func loopbackConfig(n int, opts []Option) (TCPConfig, []net.Listener, error) {
+	listeners, peers, err := bindLoopback(n)
+	if err != nil {
+		return TCPConfig{}, nil, err
+	}
+	cfg := TCPConfig{Peers: peers, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg, listeners, nil
+}
+
 // bindLoopback binds n ephemeral loopback listeners and returns them with
-// their addresses (shared by NewLoopbackRing and NewLoopbackTree).
+// their addresses.
 func bindLoopback(n int) ([]net.Listener, []string, error) {
 	listeners := make([]net.Listener, n)
 	peers := make([]string, n)
 	for j := 0; j < n; j++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			for _, l := range listeners[:j] {
-				l.Close()
-			}
+			closeListeners(listeners[:j])
 			return nil, nil, fmt.Errorf("transport: bind loopback member %d: %w", j, err)
 		}
 		listeners[j] = ln
@@ -309,535 +478,10 @@ func bindLoopback(n int) ([]net.Listener, []string, error) {
 	return listeners, peers, nil
 }
 
-// Open binds member id's listener (unless pre-bound), starts its accept
-// loop and its dialer to the ring successor, and returns the link.
-func (t *TCP) Open(id int) (runtime.Link, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, errors.New("transport: closed")
-	}
-	if id < 0 || id >= len(t.cfg.Peers) {
-		return nil, fmt.Errorf("transport: member %d out of range [0,%d)", id, len(t.cfg.Peers))
-	}
-	if t.links[id] != nil {
-		return nil, fmt.Errorf("transport: member %d already open", id)
-	}
-	ln := t.listeners[id]
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", t.cfg.Peers[id])
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen %s: %w", t.cfg.Peers[id], err)
-		}
-		t.listeners[id] = ln
-	}
-	dialCtx, dialCancel := context.WithCancel(context.Background())
-	l := &tcpLink{
-		t:          t,
-		id:         id,
-		ln:         ln,
-		state:      make(chan runtime.Message, 1),
-		top:        make(chan struct{}, 1),
-		outState:   make(chan runtime.Message, 1),
-		outTop:     make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		dialCtx:    dialCtx,
-		dialCancel: dialCancel,
-	}
-	t.links[id] = l
-	l.wg.Add(2)
-	go l.acceptLoop()
-	go l.dialLoop()
-	return l, nil
-}
-
-// Close tears down every link, listener and connection.
-func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	links := append([]*tcpLink(nil), t.links...)
-	listeners := append([]net.Listener(nil), t.listeners...)
-	t.mu.Unlock()
-	for _, l := range links {
+func closeListeners(ls []net.Listener) {
+	for _, l := range ls {
 		if l != nil {
 			l.Close()
 		}
 	}
-	for _, ln := range listeners {
-		if ln != nil {
-			ln.Close() // pre-bound listeners of never-opened members
-		}
-	}
-	t.stats.unregister()
-	return nil
-}
-
-// Stats returns a snapshot of the transport's counters.
-func (t *TCP) Stats() TCPStats { return t.stats.snapshot() }
-
-// Digest returns the configuration digest this transport sends (and
-// expects) in hello frames.
-func (t *TCP) Digest() uint64 { return t.digest }
-
-// BreakLinks force-closes member id's current connections (incoming and
-// outgoing), simulating a network blip. The dialer redials with backoff;
-// in-flight frames are lost and masked by retransmission. Test hook.
-func (t *TCP) BreakLinks(id int) {
-	t.mu.Lock()
-	var l *tcpLink
-	if id >= 0 && id < len(t.links) {
-		l = t.links[id]
-	}
-	t.mu.Unlock()
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.inConn != nil {
-		l.inConn.Close()
-	}
-	if l.outConn != nil {
-		l.outConn.Close()
-	}
-	l.mu.Unlock()
-}
-
-// tcpLink is one member's attachment to the ring over sockets.
-type tcpLink struct {
-	t  *TCP
-	id int
-	ln net.Listener
-
-	state    chan runtime.Message // from predecessor, latest wins
-	top      chan struct{}        // from successor
-	outState chan runtime.Message // to successor, latest wins
-	outTop   chan struct{}        // to predecessor, pending-⊤ flag
-
-	mu      sync.Mutex
-	inConn  net.Conn // accepted, from predecessor
-	outConn net.Conn // dialed, to successor
-
-	done       chan struct{}
-	dialCtx    context.Context
-	dialCancel context.CancelFunc
-	closeOnce  sync.Once
-	wg         sync.WaitGroup
-}
-
-func (l *tcpLink) SendState(m runtime.Message) {
-	// Latest-state-wins mailbox: the writer goroutine picks up whatever is
-	// newest once the connection is up; anything superseded in between is
-	// indistinguishable from loss.
-	select {
-	case <-l.outState:
-	default:
-	}
-	select {
-	case l.outState <- m:
-	default:
-	}
-}
-
-func (l *tcpLink) SendTop() {
-	select {
-	case l.outTop <- struct{}{}:
-	default: // a ⊤ is already pending; it is idempotent
-	}
-}
-
-func (l *tcpLink) State() <-chan runtime.Message { return l.state }
-func (l *tcpLink) Top() <-chan struct{}          { return l.top }
-
-func (l *tcpLink) InjectState(m runtime.Message) bool {
-	select {
-	case l.state <- m:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *tcpLink) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.done)
-		l.dialCancel()
-		l.ln.Close()
-		l.mu.Lock()
-		if l.inConn != nil {
-			l.inConn.Close()
-		}
-		if l.outConn != nil {
-			l.outConn.Close()
-		}
-		l.mu.Unlock()
-	})
-	l.wg.Wait()
-	return nil
-}
-
-func (l *tcpLink) closedNow() bool {
-	select {
-	case <-l.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *tcpLink) ringSize() int { return len(l.t.cfg.Peers) }
-
-// --- shared handshake machinery (ring, tree and mux accept sides) ---
-
-// admitPending reserves a pre-handshake slot; it reports false (counting
-// an accept overflow) when max un-handshaken connections already exist, in
-// which case the caller must close the connection without spawning
-// anything — the bound is what keeps a dial flood or a reconnect storm
-// from piling up goroutines and frame buffers.
-func (s *tcpStats) admitPending(max int) bool {
-	if s.pendingHandshakes.Add(1) > int64(max) {
-		s.pendingHandshakes.Add(-1)
-		s.acceptOverflows.Add(1)
-		return false
-	}
-	return true
-}
-
-func (s *tcpStats) releasePending() { s.pendingHandshakes.Add(-1) }
-
-// readHello reads and verifies the hello frame on an accepted connection:
-// frame type, wire version, and the config digest (a mismatch means
-// another cluster — different peers, topology or group set — dialed us,
-// and is counted separately from plain identity rejects). The returned id
-// is the dialer's claim; whether that id belongs on this edge is the
-// caller's check. The read deadline is cleared only on success.
-func readHello(fr *FrameReader, c net.Conn, timeout time.Duration, digest uint64, s *tcpStats) (from int, err error) {
-	c.SetReadDeadline(time.Now().Add(timeout))
-	typ, payload, err := fr.Read()
-	if err != nil {
-		return 0, err
-	}
-	if typ != FrameHello {
-		return 0, fmt.Errorf("%w: first frame type %d, want hello", ErrCodec, typ)
-	}
-	from, peerDigest, err := DecodeHello(payload)
-	if err != nil {
-		return 0, err
-	}
-	if peerDigest != digest {
-		s.digestRejects.Add(1)
-		return from, fmt.Errorf("%w: config digest mismatch (peer %016x, ours %016x)", ErrCodec, peerDigest, digest)
-	}
-	c.SetReadDeadline(time.Time{})
-	return from, nil
-}
-
-// keepAlive enables TCP keep-alive on verified connections.
-func keepAlive(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(15 * time.Second)
-	}
-}
-
-// --- incoming side: the predecessor's connection ---
-
-// acceptLoop owns the listener: every accepted connection is handled in
-// its own goroutine so the hello handshake can reject strangers (and admit
-// a restarted predecessor's replacement connection) even while an older
-// connection still looks alive. Un-handshaken connections are bounded by
-// MaxPending.
-func (l *tcpLink) acceptLoop() {
-	defer l.wg.Done()
-	for {
-		c, err := l.ln.Accept()
-		if err != nil {
-			if l.closedNow() {
-				return
-			}
-			// Transient accept failure (e.g. EMFILE): brief pause, retry.
-			select {
-			case <-l.done:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-			continue
-		}
-		if !l.t.stats.admitPending(l.t.cfg.MaxPending) {
-			c.Close()
-			continue
-		}
-		l.wg.Add(1)
-		go l.handleIn(c)
-	}
-}
-
-// handleIn verifies the hello handshake, then serves state frames from the
-// predecessor until the connection dies. A successfully verified connection
-// replaces (closes) the previous one, which is how a restarted predecessor
-// reattaches without waiting for the stale connection to time out.
-func (l *tcpLink) handleIn(c net.Conn) {
-	defer l.wg.Done()
-	expectPred := (l.id - 1 + l.ringSize()) % l.ringSize()
-	fr := NewFrameReader(c, 256)
-	from, err := readHello(fr, c, l.t.cfg.HandshakeTimeout, l.t.digest, &l.t.stats)
-	l.t.stats.releasePending()
-	if err != nil || from != expectPred {
-		l.t.stats.handshakeRejects.Add(1)
-		l.t.cfg.Logf("transport: member %d rejected connection from %v: from=%d err=%v", l.id, c.RemoteAddr(), from, err)
-		c.Close()
-		return
-	}
-	keepAlive(c)
-	l.t.stats.accepts.Add(1)
-	l.setInConn(c)
-	dead := make(chan struct{})
-	l.wg.Add(1)
-	go l.inWriter(c, dead)
-	l.serveIn(c, fr, dead) // returns when the connection dies
-}
-
-func (l *tcpLink) setInConn(c net.Conn) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closedNow() {
-		// Close already swept the registered connections; registering now
-		// would leave this connection open and serveIn blocked forever
-		// (Close's sweep runs under this mutex after done is closed, so
-		// the check cannot be stale).
-		c.Close()
-		return
-	}
-	if l.inConn != nil {
-		l.inConn.Close() // replaced by the newer connection
-	}
-	l.inConn = c
-}
-
-// serveIn reads state frames from the predecessor until the connection
-// errors, then closes it (dead tells the ⊤ writer to stop). Frames that
-// arrived back-to-back (a retransmission burst, or the peer outpacing us)
-// are decoded in one pass and only the newest state is delivered — the
-// protocol mailbox is latest-state-wins anyway, so the superseded frames
-// would be discarded there at the cost of extra channel operations.
-func (l *tcpLink) serveIn(c net.Conn, fr *FrameReader, dead chan struct{}) {
-	defer close(dead)
-	defer c.Close()
-	for {
-		typ, payload, err := fr.Read()
-		if err != nil {
-			l.connFailed("read from predecessor", err)
-			return
-		}
-		var m runtime.Message
-		have := false
-		for {
-			switch typ {
-			case FrameState:
-				g, mm, err := DecodeState(payload)
-				if err == nil && g != l.t.cfg.Group {
-					err = fmt.Errorf("%w: state frame for group %d on a group-%d link", ErrCodec, g, l.t.cfg.Group)
-				}
-				if err != nil {
-					l.connFailed("decode state", err)
-					return
-				}
-				l.t.stats.framesRecv.Add(1)
-				m, have = mm, true
-			case FrameHello:
-				// Redundant hello: harmless, ignore.
-			default:
-				l.connFailed("unexpected frame", fmt.Errorf("%w: type %d from predecessor", ErrCodec, typ))
-				return
-			}
-			if !fr.FrameBuffered() {
-				break
-			}
-			if typ, payload, err = fr.Read(); err != nil {
-				l.connFailed("read from predecessor", err)
-				return
-			}
-		}
-		if !have {
-			continue
-		}
-		// Latest-state-wins delivery into the protocol mailbox.
-		select {
-		case <-l.state:
-		default:
-		}
-		select {
-		case l.state <- m:
-		default:
-		}
-	}
-}
-
-// inWriter writes pending ⊤ markers back to the predecessor.
-func (l *tcpLink) inWriter(c net.Conn, dead chan struct{}) {
-	defer l.wg.Done()
-	var buf []byte
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-dead:
-			return
-		case <-l.outTop:
-			buf = AppendTop(buf[:0], l.t.cfg.Group)
-			if _, err := c.Write(buf); err != nil {
-				l.connFailed("write ⊤ to predecessor", err)
-				c.Close()
-				return
-			}
-			l.t.stats.framesSent.Add(1)
-		}
-	}
-}
-
-// --- outgoing side: the connection to the successor ---
-
-// dialLoop maintains the connection to the ring successor: dial, hello,
-// serve until it dies, then redial with capped exponential backoff plus
-// jitter. The backoff resets after every successful dial.
-//
-// The jitter source is a goroutine-owned splitmix64 PRNG (internal/prng):
-// single ownership is structural, not a comment — there is no shared
-// generator to race on — and the per-link seed keeps restarting members
-// from reconnecting in lockstep.
-func (l *tcpLink) dialLoop() {
-	defer l.wg.Done()
-	succ := l.t.cfg.Peers[(l.id+1)%l.ringSize()]
-	rng := prng.New(int64(l.id)*1315423911 + 17)
-	backoff := l.t.cfg.BaseBackoff
-	for {
-		if l.closedNow() {
-			return
-		}
-		d := net.Dialer{Timeout: l.t.cfg.DialTimeout}
-		c, err := d.DialContext(l.dialCtx, "tcp", succ)
-		if err != nil {
-			if l.closedNow() {
-				return
-			}
-			l.t.stats.failedDials.Add(1)
-			// Full jitter on the upper half of the window: sleep in
-			// [backoff/2, backoff), then double up to the cap.
-			sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
-			l.t.stats.backingOff.Add(1)
-			select {
-			case <-l.done:
-				l.t.stats.backingOff.Add(-1)
-				return
-			case <-time.After(sleep):
-			}
-			l.t.stats.backingOff.Add(-1)
-			if backoff *= 2; backoff > l.t.cfg.MaxBackoff {
-				backoff = l.t.cfg.MaxBackoff
-			}
-			continue
-		}
-		if tc, ok := c.(*net.TCPConn); ok {
-			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(15 * time.Second)
-		}
-		if _, err := c.Write(AppendHello(nil, l.id, l.t.digest)); err != nil {
-			l.connFailed("write hello", err)
-			c.Close()
-			continue
-		}
-		l.t.stats.dials.Add(1)
-		l.t.stats.connectedOut.Add(1)
-		backoff = l.t.cfg.BaseBackoff
-		l.mu.Lock()
-		l.outConn = c
-		l.mu.Unlock()
-		dead := make(chan struct{})
-		l.wg.Add(1)
-		go l.outReader(c, dead)
-		l.outWriter(c, dead) // returns when the connection dies or the link closes
-		c.Close()
-		l.t.stats.connectedOut.Add(-1)
-	}
-}
-
-// outWriter streams the latest pending state to the successor, encoding
-// into one reused buffer. If a newer state was mailed while this goroutine
-// was between receives, it supersedes the one just taken — coalescing the
-// pair into a single encode and a single Write.
-func (l *tcpLink) outWriter(c net.Conn, dead chan struct{}) {
-	var buf []byte
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-dead:
-			return
-		case m := <-l.outState:
-			select {
-			case m = <-l.outState:
-			default:
-			}
-			buf = AppendState(buf[:0], l.t.cfg.Group, m)
-			if _, err := c.Write(buf); err != nil {
-				l.connFailed("write state to successor", err)
-				return
-			}
-			l.t.stats.framesSent.Add(1)
-		}
-	}
-}
-
-// outReader receives ⊤ markers from the successor; its exit (on any read
-// error) marks the connection dead.
-func (l *tcpLink) outReader(c net.Conn, dead chan struct{}) {
-	defer l.wg.Done()
-	defer close(dead)
-	fr := NewFrameReader(c, 64)
-	for {
-		typ, payload, err := fr.Read()
-		if err != nil {
-			l.connFailed("read from successor", err)
-			return
-		}
-		switch typ {
-		case FrameTop:
-			g, err := DecodeTop(payload)
-			if err == nil && g != l.t.cfg.Group {
-				err = fmt.Errorf("%w: ⊤ frame for group %d on a group-%d link", ErrCodec, g, l.t.cfg.Group)
-			}
-			if err != nil {
-				l.connFailed("decode ⊤", err)
-				return
-			}
-			l.t.stats.framesRecv.Add(1)
-			select {
-			case l.top <- struct{}{}:
-			default:
-			}
-		case FrameHello:
-			// Harmless, ignore.
-		default:
-			l.connFailed("unexpected frame", fmt.Errorf("%w: type %d from successor", ErrCodec, typ))
-			return
-		}
-	}
-}
-
-// connFailed accounts one connection failure. Decode errors are counted
-// separately from plain connection drops, but both end the connection:
-// the reconnect plus the barrier's retransmission are the only recovery.
-func (l *tcpLink) connFailed(what string, err error) {
-	if l.closedNow() {
-		return
-	}
-	if errors.Is(err, ErrCodec) {
-		l.t.stats.decodeErrors.Add(1)
-	}
-	l.t.stats.connDrops.Add(1)
-	l.t.cfg.Logf("transport: member %d: %s: %v", l.id, what, err)
 }

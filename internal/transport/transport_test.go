@@ -43,7 +43,8 @@ func waitState(t *testing.T, l runtime.Link, timeout time.Duration) runtime.Mess
 	}
 }
 
-// State frames flow dialer→acceptor around the ring; ⊤ markers flow back.
+// State frames flow forward around the ring and ⊤ markers flow back, over
+// connections dialed by the lower process index whatever the direction.
 func TestRingDelivery(t *testing.T) {
 	const n = 3
 	_, links := openRing(t, n)
@@ -174,9 +175,9 @@ func TestReconnectAfterBreak(t *testing.T) {
 func TestHandshakeRejectsStrangers(t *testing.T) {
 	tr, links := openRing(t, 3)
 
-	addr1 := tr.cfg.Peers[1] // member 1 expects its predecessor, member 0
+	addr1 := tr.cfg.Peers[1] // member 1 accepts only member 0, the one lower-indexed neighbour
 	intruders := [][]byte{
-		AppendHello(nil, 2, tr.Digest()),                    // right digest, wrong ring position
+		AppendHello(nil, 2, tr.Digest()),                    // right digest, but 2 > 1 never dials 1
 		AppendHello(nil, 0, tr.Digest()^0xbad),              // right position, wrong config digest
 		AppendFrame(nil, FrameHello, []byte{1, 0, 0, 0, 0}), // v1 hello: wire version mismatch
 		AppendTop(nil, 0),                                   // not a hello at all
@@ -232,7 +233,18 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 // A connection carrying garbage after a valid hello is dropped (decode
 // error ≡ loss) and replaced by a clean reconnect.
 func TestDecodeErrorDropsConnection(t *testing.T) {
-	tr, _ := openRing(t, 2)
+	tr, err := NewLoopbackRing(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	// Member 0 opens only after the garbage has been judged: its dialer
+	// would otherwise replace the impostor's connection before the
+	// garbage is read, and the garbage would never be decoded.
+	l1, err := tr.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Pose as member 0 dialing member 1, then send garbage.
 	c, err := net.Dial("tcp", tr.cfg.Peers[1])
@@ -252,6 +264,29 @@ func TestDecodeErrorDropsConnection(t *testing.T) {
 			t.Fatal("decode error not accounted")
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	// The genuine member 0 connects cleanly and its state is delivered.
+	l0, err := tr.Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := runtime.Message{SN: 3, CP: core.Execute, PH: 1}
+	m.Sum = m.Checksum()
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		l0.SendState(m)
+		select {
+		case got := <-l1.State():
+			if got != m {
+				t.Fatalf("received %+v, want %+v", got, m)
+			}
+			return
+		case <-time.After(2 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("clean reconnect never delivered")
+			}
+		}
 	}
 }
 
@@ -304,8 +339,8 @@ func TestSendNeverBlocks(t *testing.T) {
 	tr.Close()
 }
 
-// Close is prompt and idempotent even while dialers are in backoff against
-// an unreachable peer, and Open after Close fails.
+// Close is prompt and idempotent while a dialer waits on a peer that never
+// answers, and Open after Close fails.
 func TestClosePromptAndIdempotent(t *testing.T) {
 	tr, err := NewLoopbackRing(2)
 	if err != nil {
@@ -314,9 +349,9 @@ func TestClosePromptAndIdempotent(t *testing.T) {
 	if _, err := tr.Open(0); err != nil {
 		t.Fatal(err)
 	}
-	// Member 1 is never opened, so member 0's dialer can connect to the
-	// pre-bound listener but nothing accepts its frames beyond the backlog;
-	// more importantly Close must cancel an in-flight dial/backoff.
+	// Member 1 is never opened, so member 0's dialer connects to the
+	// pre-bound listener's backlog and nothing ever reads its hello; Close
+	// must still tear the connection and the dialer down.
 	done := make(chan struct{})
 	go func() {
 		tr.Close()

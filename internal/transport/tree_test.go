@@ -34,15 +34,16 @@ func openTree(t *testing.T, n int, opts ...Option) (*TCPTree, []runtime.TreeLink
 }
 
 // Down-frames flow parent→child and up-frames child→parent on the same
-// dialed connection, for every edge of a 7-member binary tree.
+// connection (dialed by the parent, the lower index), for every edge of a
+// 7-member binary tree.
 func TestTreeDelivery(t *testing.T) {
 	const n = 7
-	tr, links := openTree(t, n)
+	_, links := openTree(t, n)
 
 	for child := 1; child < n; child++ {
-		parent := tr.tree.Parent[child]
+		parent := (child - 1) / 2
 
-		// Parent → child: resend until the child's dialed connection is up.
+		// Parent → child: resend until the parent's dialed connection is up.
 		dm := runtime.Message{SN: tokenring.SN(child), CP: core.Execute, PH: child % 3}
 		dm.Sum = dm.Checksum()
 		deadline := time.Now().Add(5 * time.Second)
@@ -87,19 +88,22 @@ func TestTreeDelivery(t *testing.T) {
 	}
 }
 
-// A stranger (or a non-child member) connecting to an internal node is
-// rejected at the handshake.
+// A stranger, a non-neighbour or a child connecting to a tree node is
+// rejected at the handshake: parents dial, so a node admits only its
+// parent. The root accepts nothing; internal node 1 is the target.
 func TestTreeHandshakeRejectsNonChild(t *testing.T) {
 	tr, _ := openTree(t, 7)
 
-	addr0 := tr.cfg.Peers[0] // root accepts only children 1 and 2
-	for _, intruder := range [][]byte{
-		AppendHello(nil, 5, tr.Digest()),       // not a child of the root
-		AppendHello(nil, 1, tr.Digest()^0xbad), // right child, wrong config digest
+	addr1 := tr.cfg.Peers[1] // member 1 accepts only its parent, the root
+	intruders := [][]byte{
+		AppendHello(nil, 5, tr.Digest()),       // not adjacent to member 1
+		AppendHello(nil, 3, tr.Digest()),       // a child of member 1: children never dial
+		AppendHello(nil, 0, tr.Digest()^0xbad), // the parent, wrong config digest
 		AppendFrame(nil, FrameTop, nil),        // not a hello at all
 		{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02},   // garbage bytes
-	} {
-		c, err := net.Dial("tcp", addr0)
+	}
+	for _, intruder := range intruders {
+		c, err := net.Dial("tcp", addr1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,9 +115,10 @@ func TestTreeHandshakeRejectsNonChild(t *testing.T) {
 		c.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tr.Stats().HandshakeRejects < 4 {
+	want := int64(len(intruders))
+	for tr.Stats().HandshakeRejects < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("handshake rejects = %d, want 4", tr.Stats().HandshakeRejects)
+			t.Fatalf("handshake rejects = %d, want %d", tr.Stats().HandshakeRejects, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -122,24 +127,47 @@ func TestTreeHandshakeRejectsNonChild(t *testing.T) {
 	}
 }
 
-// An up-frame whose in-band Child disagrees with the hello identity is
-// detected corruption: the connection is dropped, the frame discarded.
+// An up-frame whose in-band Child disagrees with the connection's verified
+// peer is detected corruption: the connection is dropped, the frame
+// discarded.
 func TestTreeChildIDCrossCheck(t *testing.T) {
-	tr, links := openTree(t, 3)
-
-	// Pose as child 1 dialing the root, then claim to be child 2 in-band.
-	c, err := net.Dial("tcp", tr.cfg.Peers[0])
+	tr, err := NewLoopbackTree(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer tr.Close()
+	root, err := tr.OpenTree(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.OpenTree(1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stand in for child 2: own its listener and accept the root's dial.
+	ln := tr.listeners[2]
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("root never dialed child 2: %v", err)
+	}
 	defer c.Close()
-	forged := runtime.UpMessage{Child: 2, SN: 1, CP: core.Success, PH: 0}
-	forged.Sum = forged.Checksum()
-	c.Write(AppendHello(nil, 1, tr.Digest()))
-	c.Write(AppendUp(nil, tr.cfg.Group, forged))
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err == nil {
-		t.Error("acceptor survived a cross-check violation")
+	fr := NewFrameReader(c, 64)
+	typ, payload, err := fr.Read()
+	if err != nil || typ != FrameHello {
+		t.Fatalf("root's first frame: type %d, err %v; want hello", typ, err)
+	}
+	if from, digest, err := DecodeHello(payload); err != nil || from != 0 || digest != tr.Digest() {
+		t.Fatalf("root's hello: from %d digest %016x err %v", from, digest, err)
+	}
+
+	// Child 2 claims to be child 1 in-band.
+	forged := runtime.UpMessage{Child: 1, SN: 1, CP: core.Success, PH: 0}
+	forged.Sum = forged.Checksum()
+	c.Write(AppendUp(nil, 0, forged))
+	if _, _, err := fr.Read(); err == nil {
+		t.Error("root survived a cross-check violation")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for tr.Stats().DecodeErrors == 0 {
@@ -150,7 +178,7 @@ func TestTreeChildIDCrossCheck(t *testing.T) {
 	}
 	// The forged frame must not have surfaced.
 	select {
-	case m := <-links[0].Up():
+	case m := <-root.Up():
 		t.Errorf("forged up-message delivered: %+v", m)
 	default:
 	}
@@ -181,7 +209,7 @@ func TestTreeReconnectAfterBreak(t *testing.T) {
 	}
 	dialsBefore := tr.Stats().Dials
 
-	tr.BreakLinks(1) // closes child 1's dialed connection to the root
+	tr.BreakLinks(1) // closes child 1's connection from the root
 
 	deadline = time.Now().Add(10 * time.Second)
 	for {
@@ -222,6 +250,10 @@ func TestTreeOpenValidation(t *testing.T) {
 	}
 	if _, err := NewTCPTree(TCPConfig{Peers: []string{"a", "b"}}, []int{-1, 5}); err == nil {
 		t.Error("NewTCPTree with an invalid parent vector succeeded")
+	}
+	// The path 0 → 1 → 2 is a valid tree but not a k-ary heap.
+	if _, err := NewTCPTree(TCPConfig{Peers: []string{"a", "b", "c"}}, []int{-1, 0, 1}); err == nil {
+		t.Error("NewTCPTree with a non-heap parent vector succeeded")
 	}
 	if _, err := NewLoopbackTree(1); err == nil {
 		t.Error("NewLoopbackTree(1) succeeded")
