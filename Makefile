@@ -3,10 +3,18 @@
 
 GO ?= go
 
-.PHONY: build test race vet barriervet fuzz-smoke barrierbench-smoke perfbench-test
+.PHONY: build cross test race vet barriervet fuzz-smoke barrierbench-smoke perfbench-test
 
 build:
 	$(GO) build ./...
+
+# Builds for platforms other than the host's linux/amd64: the resend
+# pacer's timerfd sleeper is Linux-only (pacer_linux.go), with a portable
+# fallback elsewhere, so a non-Linux and a 32-bit Linux build keep both
+# files compiling. (Windows is not a target: internal/bench uses SIGSTOP.)
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...

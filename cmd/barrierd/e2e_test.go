@@ -146,6 +146,22 @@ func httpBody(url string) (string, int, bool) {
 // needs.
 func waitHealthy(t *testing.T, m *member, timeout time.Duration) {
 	t.Helper()
+	waitHealthz(t, m, timeout, func(code int, _ string) bool { return code == http.StatusOK })
+}
+
+// waitServing waits until the member's /healthz answers as a serving
+// process: 200, or 503 because one of its groups has fail-safe halted.
+// A group that halts early can do so before the first probe sees a 200.
+func waitServing(t *testing.T, m *member, timeout time.Duration) {
+	t.Helper()
+	waitHealthz(t, m, timeout, func(code int, body string) bool {
+		return code == http.StatusOK ||
+			code == http.StatusServiceUnavailable && strings.Contains(body, `"status":"halted"`)
+	})
+}
+
+func waitHealthz(t *testing.T, m *member, timeout time.Duration, ready func(code int, body string) bool) {
+	t.Helper()
 	var lastProbe string
 	waitFor(t, fmt.Sprintf("member %d /healthz ready", m.id), timeout, func() bool {
 		addr := metricsAddr(m)
@@ -155,7 +171,7 @@ func waitHealthy(t *testing.T, m *member, timeout time.Duration) {
 		}
 		body, code, ok := httpBody("http://" + addr + "/healthz")
 		lastProbe = fmt.Sprintf("addr=%s ok=%v code=%d body=%q", addr, ok, code, body)
-		return ok && code == http.StatusOK
+		return ok && ready(code, body)
 	}, func() string {
 		data, _ := os.ReadFile(m.logPath)
 		return lastProbe + "\nlog tail:\n" + tailLines(string(data), 10)
@@ -821,9 +837,9 @@ func TestLoopbackGroupHaltHealthz(t *testing.T) {
 			}
 		}
 	})
-	for _, m := range members {
-		waitHealthy(t, m, time.Minute)
-	}
+	// Member 0's doomed group may already have halted by its first probe.
+	waitServing(t, members[0], time.Minute)
+	waitHealthy(t, members[1], time.Minute)
 
 	// The doomed group halts itself on process 0 after a few passes; the
 	// process must park that group's loop, log the halt, and turn its

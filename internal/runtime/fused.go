@@ -299,8 +299,8 @@ func (f *fusedTree) onTick() {
 }
 
 func (f *fusedTree) run(resend time.Duration, lossRate, corruptRate float64) {
-	ticker := time.NewTicker(resend)
-	defer ticker.Stop()
+	tick := resendPacer().ticker(resend)
+	defer tick.Stop()
 
 	// The external host-tree edges, when this fused subtree is one node
 	// of a cross-host hybrid; nil channels (never ready) otherwise.
@@ -383,7 +383,7 @@ func (f *fusedTree) run(resend time.Duration, lossRate, corruptRate float64) {
 			f.onExtDown(m)
 		case m := <-extUp:
 			f.onExtUp(m)
-		case <-ticker.C:
+		case <-tick.C:
 			f.onTick()
 		}
 		f.drain(lossRate, corruptRate)

@@ -141,7 +141,12 @@ type Config struct {
 	// L > 2N+1. Default 2*Participants + 2.
 	L int
 	// Resend is the retransmission period that masks message loss
-	// (default 200µs).
+	// (default 200µs; must be positive). A member resends its state once
+	// its edge has been quiet for one to two periods, so masking one lost
+	// or corrupted message costs at most about two periods. One pacer
+	// goroutine per process (pacer.go) keeps the period on time even
+	// below a millisecond, where a Go timer in an idle process would
+	// fire only about every 1.1ms.
 	Resend time.Duration
 	// LossRate drops each protocol message with this probability — a
 	// built-in detectable communication fault for tests and demos.
@@ -177,7 +182,7 @@ const (
 	ctrlArrive ctrlKind = iota
 	ctrlReset
 	ctrlScramble
-	// ctrlTick is the resend sweeper poking a ring proc whose edge was
+	// ctrlTick is the resend sweep poking a ring proc whose edge was
 	// quiet for a full resend period: retransmit the current state.
 	ctrlTick
 	// ctrlCrash/ctrlRestart are the crash fault class: a crashed member
@@ -259,6 +264,9 @@ type Barrier struct {
 	stopped   chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+	// sweep is the ring lanes' registration with the resend pacer (nil
+	// without ring procs).
+	sweep *resendTimer
 
 	sinkMu sync.Mutex
 	sink   core.EventSink
@@ -376,10 +384,11 @@ type proc struct {
 	lastSent Message
 	haveSent bool
 	// sentSinceTick records that a send happened since the last resend
-	// sweep. The proc stores true on every send; the barrier's sweeper
-	// goroutine clears it (CAS true→false) each period and pokes only
-	// procs whose flag was already false — a quiet edge that may be
-	// masking a lost message. Hot procs are never woken by the timer.
+	// sweep. The proc stores true on every send; the barrier's sweep,
+	// run on the resend pacer, clears it (CAS true→false) each period and
+	// pokes only procs whose flag was already false — a quiet edge that
+	// may be masking a lost message. Hot procs are never woken by the
+	// timer.
 	sentSinceTick atomic.Bool
 
 	// rng is owned by the protocol goroutine (seeded before it starts;
@@ -413,6 +422,9 @@ func New(cfg Config) (*Barrier, error) {
 	}
 	if cfg.Resend == 0 {
 		cfg.Resend = 200 * time.Microsecond
+	}
+	if cfg.Resend < 0 {
+		return nil, errors.New("ftbarrier: Resend must be positive")
 	}
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
 		return nil, errors.New("ftbarrier: loss rate must be in [0, 1)")
@@ -531,13 +543,13 @@ func New(cfg Config) (*Barrier, error) {
 		b.UnregisterMetrics()
 		return nil, err
 	}
-	// One retransmission sweeper serves every ring proc in every lane:
-	// a single timer wakes once per resend period and pokes only the
-	// procs whose edge went quiet, instead of one ticker per proc waking
-	// it unconditionally. On the fault-free hot path no proc takes a
-	// timer wakeup at all — at Depth > 1 (Depth×N procs in one process)
-	// the per-proc tickers this replaces were the dominant scheduler
-	// load. Tree and hybrid lanes pace their own schedulers.
+	// One retransmission sweep serves every ring proc in every lane: it
+	// runs on the process's resend pacer once per resend period and
+	// pokes only the procs whose edge went quiet, instead of one ticker
+	// per proc waking it unconditionally. On the fault-free hot path no
+	// proc takes a timer wakeup at all — at Depth > 1 (Depth×N procs in
+	// one process) per-proc tickers were the dominant scheduler load.
+	// Tree and hybrid lanes take channel ticks from the same pacer.
 	ringProcs := false
 	for _, ln := range b.lanes {
 		for _, p := range ln.procs {
@@ -547,42 +559,38 @@ func New(cfg Config) (*Barrier, error) {
 		}
 	}
 	if ringProcs {
-		b.wg.Add(1)
-		go b.sweepRingTicks(cfg.Resend)
+		b.sweep = resendPacer().every(cfg.Resend, b.sweepRing)
 	}
 	return b, nil
 }
 
-// sweepRingTicks is the barrier's shared retransmission pacer (see New).
-// A proc that announced since the previous sweep has its flag cleared and
-// is left alone; a quiet proc is poked with ctrlTick so it retransmits
-// its state, masking a potentially lost message on its edge.
-func (b *Barrier) sweepRingTicks(resend time.Duration) {
-	defer b.wg.Done()
-	ticker := time.NewTicker(resend)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.stopped:
-			return
-		case <-b.halted:
-			return
-		case <-ticker.C:
-		}
-		for _, ln := range b.lanes {
-			for j, p := range ln.procs {
-				if p == nil || p.sentSinceTick.CompareAndSwap(true, false) {
-					continue // absent, or hot: the recent send stands in for the retransmission
-				}
-				select {
-				case ln.gates[j].ctrl <- ctrlMsg{id: j, kind: ctrlTick}:
-				default:
-					// Control buffer full: the proc is busy draining work
-					// and will announce on its own; the next sweep retries.
-				}
+// sweepRing is the ring lanes' retransmission sweep (see New), run on the
+// pacer goroutine. A proc that announced since the previous sweep has its
+// flag cleared and is left alone; a quiet proc is poked with ctrlTick so
+// it retransmits its state, masking a potentially lost message on its
+// edge. A stopped or halted barrier deregisters the sweep.
+func (b *Barrier) sweepRing() bool {
+	select {
+	case <-b.stopped:
+		return false
+	case <-b.halted:
+		return false
+	default:
+	}
+	for _, ln := range b.lanes {
+		for j, p := range ln.procs {
+			if p == nil || p.sentSinceTick.CompareAndSwap(true, false) {
+				continue // absent, or hot: the recent send stands in for the retransmission
+			}
+			select {
+			case ln.gates[j].ctrl <- ctrlMsg{id: j, kind: ctrlTick}:
+			default:
+				// Control buffer full: the proc is busy draining work
+				// and will announce on its own; the next sweep retries.
 			}
 		}
 	}
+	return true
 }
 
 // startRing wires the MB ring: one proc per hosted member, links from the
@@ -1134,6 +1142,9 @@ func (b *Barrier) Halted() bool {
 // too; an explicitly supplied Config.Transport is left for its creator.
 func (b *Barrier) Stop() {
 	b.stopOnce.Do(func() { close(b.stopped) })
+	if b.sweep != nil {
+		b.sweep.Stop()
+	}
 	b.wg.Wait()
 	b.closeOnce.Do(func() {
 		for _, ln := range b.lanes {
@@ -1300,9 +1311,9 @@ func (p *proc) run(lossRate, corruptRate float64) {
 		}
 
 		// Idle: park until something arrives. Retransmission pacing comes
-		// from the barrier's sweeper goroutine, which pokes the proc with
-		// ctrlTick only when its edge was quiet for a resend period —
-		// hot procs never take timer wakeups.
+		// from the barrier's sweep on the resend pacer, which pokes the
+		// proc with ctrlTick only when its edge was quiet for a resend
+		// period — hot procs never take timer wakeups.
 		select {
 		case <-p.b.stopped:
 			return
@@ -1376,7 +1387,7 @@ func (p *proc) onCtrl(c ctrlMsg) {
 		// Forgetting the last announcement makes the post-ctrl announce
 		// resend it. A message lost right after a sweep is retransmitted
 		// by the sweep after the next, so the masking delay is at most
-		// doubled — the same bound the per-proc tickers gave.
+		// two resend periods.
 		p.haveSent = false
 	case ctrlReset:
 		if p.crashed {
@@ -1550,7 +1561,7 @@ func (p *proc) announce(lossRate, corruptRate float64) {
 	p.b.statSends.Add(1)
 	if lossRate > 0 && p.rng.Float64() < lossRate {
 		p.b.statDrops.Add(1)
-		return // the message is lost; the resend ticker will mask it
+		return // the message is lost; the resend sweep will mask it
 	}
 	if corruptRate > 0 && p.rng.Float64() < corruptRate {
 		// Bit-flip in flight: the receiver's integrity check will reject it.

@@ -52,6 +52,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Participants: 4, LossRate: 1.5}); err == nil {
 		t.Error("loss rate ≥ 1 should be rejected")
 	}
+	if _, err := New(Config{Participants: 4, Resend: -time.Millisecond}); err == nil {
+		t.Error("negative resend period should be rejected")
+	}
 	b, err := New(Config{Participants: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -663,9 +666,12 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}()
 
-	// Workers keep participating until everyone reached the target: under
+	// Workers keep participating until everyone reached the target and
+	// the injector has landed every fault class asserted below: under
 	// scrambles, pass counts may transiently skew, and a worker that left
-	// at its personal target could stall the rest.
+	// at its personal target could stall the rest; and with punctual
+	// retransmission 40 passes can end before the 2ms injector has made
+	// a reset take effect.
 	const wantPasses = 40
 	runCtx, runCancel := context.WithCancel(ctx)
 	defer runCancel()
@@ -676,7 +682,8 @@ func TestChaosSoak(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		st := b.Stats()
+		return st.Drops > 0 && st.Spurious > 0 && st.Resets > 0
 	}
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {

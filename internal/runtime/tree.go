@@ -186,8 +186,8 @@ func (tp *treeProc) resetState() {
 }
 
 func (tp *treeProc) run(resend time.Duration, lossRate, corruptRate float64) {
-	ticker := time.NewTicker(resend)
-	defer ticker.Stop()
+	tick := resendPacer().ticker(resend)
+	defer tick.Stop()
 
 	tp.announce(lossRate, corruptRate) // prime the tree
 	for {
@@ -251,7 +251,7 @@ func (tp *treeProc) run(resend time.Duration, lossRate, corruptRate float64) {
 			tp.onUp(m)
 		case c := <-tp.ctrl:
 			tp.onCtrl(c)
-		case <-ticker.C:
+		case <-tick.C:
 			// Per-edge retransmission with the quiet-edge optimization of
 			// the ring loop: only retransmit when nothing went out since
 			// the previous tick.

@@ -749,13 +749,33 @@ func (p *muxPeer) writeLoop(c net.Conn, dead chan struct{}) {
 
 // dialLoop maintains the connection to a higher-indexed peer: dial,
 // hello, serve until it dies, redial with capped exponential backoff plus
-// jitter. The jitter source is a goroutine-owned splitmix64 PRNG, so
-// single ownership is structural, and the per-edge seed keeps restarting
-// processes from reconnecting in lockstep.
+// jitter. A connection resets the backoff only once the peer's first
+// frame has arrived on it: an acceptor that rejects the hello (digest
+// mismatch, injected partition, wrong dial direction) closes a connection
+// that never carried a frame, and redialing it at once would loop at
+// connect rate. The jitter source is a goroutine-owned splitmix64 PRNG,
+// so single ownership is structural, and the per-edge seed keeps
+// restarting processes from reconnecting in lockstep.
 func (p *muxPeer) dialLoop() {
 	defer p.m.wg.Done()
 	rng := prng.New(int64(p.m.cfg.Self)*1315423911 + int64(p.id)*2654435761 + 41)
 	backoff := p.m.cfg.BaseBackoff
+	// pause sleeps one jittered backoff and doubles the next; it reports
+	// false when the mux closed meanwhile.
+	pause := func() bool {
+		sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
+		p.m.stats.backingOff.Add(1)
+		defer p.m.stats.backingOff.Add(-1)
+		select {
+		case <-p.m.done:
+			return false
+		case <-time.After(sleep):
+		}
+		if backoff *= 2; backoff > p.m.cfg.MaxBackoff {
+			backoff = p.m.cfg.MaxBackoff
+		}
+		return true
+	}
 	for {
 		if p.m.closedNow() {
 			return
@@ -777,17 +797,8 @@ func (p *muxPeer) dialLoop() {
 				return
 			}
 			p.m.stats.failedDials.Add(1)
-			sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
-			p.m.stats.backingOff.Add(1)
-			select {
-			case <-p.m.done:
-				p.m.stats.backingOff.Add(-1)
+			if !pause() {
 				return
-			case <-time.After(sleep):
-			}
-			p.m.stats.backingOff.Add(-1)
-			if backoff *= 2; backoff > p.m.cfg.MaxBackoff {
-				backoff = p.m.cfg.MaxBackoff
 			}
 			continue
 		}
@@ -795,11 +806,13 @@ func (p *muxPeer) dialLoop() {
 		if _, err := c.Write(AppendHello(nil, p.m.cfg.Self, p.m.digest)); err != nil {
 			p.m.connFailed(p, "write hello", err)
 			c.Close()
+			if !pause() {
+				return
+			}
 			continue
 		}
 		p.m.stats.dials.Add(1)
 		p.m.stats.connectedOut.Add(1)
-		backoff = p.m.cfg.BaseBackoff
 		if !p.setConn(c) {
 			p.m.stats.connectedOut.Add(-1)
 			if p.m.closedNow() {
@@ -808,15 +821,23 @@ func (p *muxPeer) dialLoop() {
 			continue // partition raced the dial; park above until it heals
 		}
 		dead := make(chan struct{})
+		var heard atomic.Bool
 		p.m.wg.Add(1)
 		go func() {
 			defer p.m.wg.Done()
 			defer close(dead)
-			p.m.serveConn(p, c, NewFrameReader(c, 4096))
+			p.m.serveConn(p, c, NewFrameReader(c, 4096), &heard)
 		}()
 		p.writeLoop(c, dead) // returns when the connection dies or the mux closes
 		c.Close()
 		p.m.stats.connectedOut.Add(-1)
+		if heard.Load() {
+			backoff = p.m.cfg.BaseBackoff // a live connection: redial at once
+			continue
+		}
+		if !pause() {
+			return
+		}
 	}
 }
 
@@ -934,7 +955,7 @@ func (m *Mux) handleIn(c net.Conn) {
 		defer m.wg.Done()
 		p.writeLoop(c, dead)
 	}()
-	m.serveConn(p, c, fr) // returns when the connection dies
+	m.serveConn(p, c, fr, nil) // returns when the connection dies
 	close(dead)
 	c.Close()
 }
@@ -942,14 +963,19 @@ func (m *Mux) handleIn(c net.Conn) {
 // serveConn reads and demultiplexes frames from one peer until the
 // connection errors. A codec violation — including a frame for a group or
 // direction the route table does not expect from this peer — drops the
-// connection; every group's retransmission masks the loss.
-func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader) {
+// connection; every group's retransmission masks the loss. heard, if
+// non-nil, is set once the first frame has been read.
+func (m *Mux) serveConn(p *muxPeer, c net.Conn, fr *FrameReader, heard *atomic.Bool) {
 	for {
 		typ, payload, err := fr.Read()
 		if err != nil {
 			m.connFailed(p, "read", err)
 			c.Close()
 			return
+		}
+		if heard != nil {
+			heard.Store(true)
+			heard = nil
 		}
 		switch typ {
 		case FrameHello:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -320,6 +321,52 @@ func TestMuxValidation(t *testing.T) {
 	l.Close()
 	if _, err := m.Ring(0).Open(0); err != nil {
 		t.Errorf("reopen after close failed: %v", err)
+	}
+}
+
+// A peer that accepts the dialer's connection and closes it without ever
+// sending a frame — what a rejected hello looks like from the dialing side
+// (digest mismatch, partition gate, wrong dial direction) — must be
+// redialed at the backoff rate, not at connect rate. Dials counts the
+// connections that got their hello out (transport_dials_total); the
+// third can only follow two backoff sleeps, at least base/2 + base.
+func TestMuxDialerBacksOffAfterRejectedHello(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	const base = 20 * time.Millisecond
+	start := time.Now()
+	m, err := NewMux(MuxConfig{
+		Self:        0, // the lower index dials; process 0 binds no listener
+		Peers:       []string{"127.0.0.1:1", ln.Addr().String()},
+		Groups:      []GroupSpec{{ID: 0, Name: "g00"}},
+		BaseBackoff: base,
+		MaxBackoff:  4 * base,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Stats().Dials < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("dialer stopped redialing a rejecting peer: %+v", m.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if elapsed, min := time.Since(start), base/2+base; elapsed < min {
+		t.Fatalf("3 dials in %v, want >= %v of backoff between them: %+v", elapsed, min, m.Stats())
 	}
 }
 
